@@ -6,8 +6,8 @@ use valois_bench::criterion::{black_box, BenchmarkId, Criterion};
 use valois_bench::{criterion_group, criterion_main};
 use valois_sync::{Backoff, LockKind};
 
-/// Per-thread iterations for contended runs. FIFO locks (ticket/CLH/
-/// Anderson) hand off to a specific waiter, which on a host with fewer
+/// Per-thread iterations for contended runs. FIFO locks (ticket/CLH)
+/// hand off to a specific waiter, which on a host with fewer
 /// cores than threads costs a scheduler round per acquisition — keep the
 /// counts small there so the benches stay tractable.
 fn contended_iters() -> u64 {

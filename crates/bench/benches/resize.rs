@@ -1,8 +1,8 @@
-//! The E-resize artifact bench: fixed-size `HashDict::with_buckets(16)`
+//! Experiment E10 (DESIGN.md §4): fixed-size `HashDict::with_buckets(16)`
 //! against the split-ordered `ResizableHashDict` under growing key
 //! ranges.
 //!
-//! Two phases per size, matching `experiments::e10_resize`:
+//! Two phases per size:
 //!
 //! 1. **fill** — `run_fill` inserts the keys `0..n` from disjoint strided
 //!    shards. This is the workload a fixed bucket count cannot amortize

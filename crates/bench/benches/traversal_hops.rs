@@ -1,5 +1,6 @@
-//! Per-hop traversal cost: the cursor hop loop against a raw pointer walk
-//! over the same nodes, across reclamation backends and thread counts.
+//! Experiment E8 (DESIGN.md §4), per-hop traversal cost: the cursor hop
+//! loop against a raw pointer walk over the same nodes, across
+//! reclamation backends and thread counts.
 //!
 //! This is the hot path the magazine/deferred-release work targets: each
 //! `Cursor::next` used to pay six refcount RMWs plus four shared-counter

@@ -1,14 +1,15 @@
-//! CLI for the E1–E10 experiment suite.
+//! CLI for the experiment suite (`experiments::EXPERIMENTS`).
 //!
 //! ```text
-//! experiments [e1|e2|...|e10|all] [--quick] [--point-ms N] [--max-threads N]
+//! experiments [e1|e2|...|e9|all] [--quick] [--point-ms N] [--max-threads N]
 //! ```
 //!
 //! Run with `cargo run --release -p valois-bench --bin experiments -- all`.
+//! An unknown id prints the valid ids and exits with status 2.
 
 use std::time::Duration;
 
-use valois_bench::experiments::{self, ExpConfig};
+use valois_bench::experiments::{self, ExpConfig, RunExperiment, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,28 +38,36 @@ fn main() {
         }
         i += 1;
     }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = (1..=10).map(|n| format!("e{n}")).collect();
-    }
+    let runs: Vec<RunExperiment> = if which.is_empty() || which.iter().any(|w| w == "all") {
+        EXPERIMENTS.iter().map(|&(_, run)| run).collect()
+    } else {
+        let mut runs = Vec::new();
+        let mut unknown = Vec::new();
+        for w in &which {
+            match experiments::lookup(w) {
+                Some(run) => runs.push(run),
+                None => unknown.push(w.as_str()),
+            }
+        }
+        if !unknown.is_empty() {
+            let valid: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+            eprintln!(
+                "unknown experiment: {}; valid ids: {} or all \
+                 (E8 and E10 run as the traversal_hops and resize benches)",
+                unknown.join(", "),
+                valid.join(", ")
+            );
+            std::process::exit(2);
+        }
+        runs
+    };
 
     println!(
         "Valois PODC'95 reproduction — experiment suite ({} cores, {:?}/point)\n",
         ExpConfig::cores(),
         cfg.point
     );
-    for w in which {
-        match w.as_str() {
-            "e1" => drop(experiments::e1_throughput_vs_threads(&cfg)),
-            "e2" => drop(experiments::e2_delay_injection(&cfg)),
-            "e3" => drop(experiments::e3_retries_vs_threads(&cfg)),
-            "e4" => drop(experiments::e4_hash_buckets(&cfg)),
-            "e5" => drop(experiments::e5_skiplist_vs_list(&cfg)),
-            "e6" => drop(experiments::e6_bst(&cfg)),
-            "e7" => drop(experiments::e7_aux_quiescence(&cfg)),
-            "e8" => drop(experiments::e8_saferead_overhead(&cfg)),
-            "e9" => drop(experiments::e9_multiprogramming(&cfg)),
-            "e10" => drop(experiments::e10_resize(&cfg)),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+    for run in runs {
+        drop(run(&cfg));
     }
 }

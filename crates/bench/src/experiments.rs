@@ -1,4 +1,5 @@
-//! The E1–E8 experiment suite (DESIGN.md §4).
+//! The E1–E7 and E9 experiment suite (DESIGN.md §4). E8 and E10 are
+//! measured by the `traversal_hops` and `resize` Criterion benches.
 //!
 //! Every function prints and returns a table whose *shape* reproduces a
 //! claim of the paper; EXPERIMENTS.md records claim vs. measurement.
@@ -7,8 +8,8 @@ use std::time::{Duration, Instant};
 use valois_sync::shim::atomic::{AtomicBool, Ordering};
 
 use valois_baseline::{CriticalDelay, LockedBstDict, LockedListDict, MutexListDict};
-use valois_dict::{BstDict, Dictionary, HashDict, ResizableHashDict, SkipListDict, SortedListDict};
-use valois_harness::{run_fill, run_throughput, KeyDist, OpMix, RunConfig, Table, WorkloadSpec};
+use valois_dict::{BstDict, HashDict, SkipListDict, SortedListDict};
+use valois_harness::{run_throughput, KeyDist, OpMix, RunConfig, Table, WorkloadSpec};
 
 /// Budget knobs shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +57,7 @@ impl ExpConfig {
 /// A finished experiment: its id, headline, and printed table.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// Experiment id ("E1" … "E10").
+    /// Experiment id ("E1" … "E9").
     pub id: &'static str,
     /// One-line description of the claim under test.
     pub claim: &'static str,
@@ -550,112 +551,6 @@ pub fn e7_aux_quiescence(cfg: &ExpConfig) -> ExperimentReport {
     report
 }
 
-/// E8 — "the most time consuming operation is most likely performing a
-/// SafeRead on each cell" (§6): traversal cost with and without the §5
-/// protocol, plus allocator micro-costs.
-pub fn e8_saferead_overhead(cfg: &ExpConfig) -> ExperimentReport {
-    let n = 10_000u64;
-    let mut list: valois_core::List<u64> = (0..n).collect();
-    let reps = (cfg.point.as_millis() as usize / 10).clamp(3, 50);
-
-    let timed = |f: &mut dyn FnMut() -> u64| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let visited = f();
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(visited, n);
-            best = best.min(dt / n as f64 * 1e9);
-        }
-        best
-    };
-
-    let protected = timed(&mut || {
-        let mut c = 0u64;
-        list.for_each(|_| c += 1);
-        c
-    });
-    let unprotected = timed(&mut || {
-        let mut c = 0u64;
-        list.for_each_unprotected(|_| c += 1);
-        c
-    });
-    // Backend axis: the same walk under epoch protection — one pin per
-    // traversal, plain loads per hop — bounds how much of the counted
-    // overhead is the §5 protocol itself rather than cursor machinery.
-    let epoch_list: valois_core::List<u64, valois_core::Epoch> = (0..n).collect();
-    let epoch_walk = timed(&mut || {
-        let mut c = 0u64;
-        epoch_list.for_each(|_| c += 1);
-        c
-    });
-    let seq = {
-        let mut sl = valois_baseline::locked::SeqSortedList::new();
-        for k in (0..n).rev() {
-            sl.insert(k, k);
-        }
-        // Walk via repeated find of each key? No — measure a full scan by
-        // finds of ascending keys once per rep would be O(n^2). Instead
-        // time the mutex-list dictionary's full-range finds separately
-        // below; here compare like-for-like pointer walks only.
-        drop(sl);
-        f64::NAN
-    };
-    let _ = seq;
-
-    // Allocator micro-costs (Fig. 17/18).
-    let arena_cost = {
-        let d: SortedListDict<u64, u64> = SortedListDict::new();
-        let t0 = Instant::now();
-        let rounds = 20_000u64;
-        for i in 0..rounds {
-            d.insert(i % 64, i);
-            d.remove(&(i % 64));
-        }
-        t0.elapsed().as_secs_f64() / (rounds as f64 * 2.0) * 1e9
-    };
-
-    let mut table = Table::new(&["walk", "ns/node", "vs raw"]);
-    table.row_owned(vec![
-        "SafeRead-protected cursor".into(),
-        format!("{protected:.1}"),
-        format!("{:.2}x", protected / unprotected.max(0.001)),
-    ]);
-    table.row_owned(vec![
-        "epoch-pinned cursor (uncounted hops)".into(),
-        format!("{epoch_walk:.1}"),
-        format!("{:.2}x", epoch_walk / unprotected.max(0.001)),
-    ]);
-    table.row_owned(vec![
-        "raw pointer walk (no refcounts)".into(),
-        format!("{unprotected:.1}"),
-        "1.00x".into(),
-    ]);
-    table.row_owned(vec![
-        "insert+delete cycle (alloc path)".into(),
-        format!("{arena_cost:.1}"),
-        "-".into(),
-    ]);
-    let report = ExperimentReport {
-        id: "E8",
-        claim: "SafeRead dominates traversal cost (§6)",
-        table,
-        notes: vec![
-            format!(
-                "SafeRead multiplies per-node traversal cost by {:.1}x — the §6 hardware-support wish",
-                protected / unprotected.max(0.001)
-            ),
-            format!(
-                "the epoch backend walks at {:.2}x raw: most of the counted gap is the §5 \
-                 per-hop RMWs, not cursor bookkeeping",
-                epoch_walk / unprotected.max(0.001)
-            ),
-        ],
-    };
-    report.print();
-    report
-}
-
 /// E9 — multiprogramming (the thesis-style oversubscription sweep): with
 /// more runnable threads than processors, involuntary preemption lands
 /// inside critical sections; a naive TAS spinner then burns whole quanta
@@ -766,91 +661,34 @@ pub fn e9_multiprogramming(cfg: &ExpConfig) -> ExperimentReport {
     report
 }
 
-/// E10 — the resize experiment: a fixed 16-bucket [`HashDict`] against
-/// the split-ordered [`ResizableHashDict`] as the key range grows past
-/// what 16 buckets can amortize. Phase one is a cold bulk fill (every key
-/// inserted exactly once — this is what forces the resizable table
-/// through its doublings); phase two is the balanced mix over the filled
-/// table. The fixed table degrades to O(n/16) chain walks; the resizable
-/// table keeps expected-O(1) buckets by doubling, without ever moving an
-/// item (Shalev–Shavit split ordering over the §3 list).
-pub fn e10_resize(cfg: &ExpConfig) -> ExperimentReport {
-    let smoke = cfg.point < Duration::from_millis(50);
-    let sizes: &[u64] = if smoke {
-        &[256, 1024]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let threads = cfg.max_threads.clamp(1, ExpConfig::cores());
-    let mut table = Table::new(&[
-        "keys",
-        "fixed16 fill/s",
-        "resz fill/s",
-        "fixed16 mix",
-        "resz mix",
-        "buckets",
-    ]);
-    let mut final_fill_ratio = 0.0f64;
-    let mut final_mix_ratio = 0.0f64;
-    let mut final_buckets = 0u64;
-    for &n in sizes {
-        let fixed: HashDict<u64, u64> = HashDict::with_buckets(16);
-        let fixed_fill = run_fill(&fixed, n, threads);
-        let resz: ResizableHashDict<u64, u64> = ResizableHashDict::new();
-        let resz_fill = run_fill(&resz, n, threads);
+/// Runs one experiment.
+pub type RunExperiment = fn(&ExpConfig) -> ExperimentReport;
 
-        let mut spec = WorkloadSpec::standard(n);
-        spec.prefill = 0; // both tables already hold 0..n
-        let run = RunConfig {
-            threads,
-            duration: cfg.point,
-            workload: spec,
-            op_delay: None,
-            measure_latency: false,
-        };
-        let fixed_mix = run_throughput(&fixed, &run).ops_per_sec();
-        let resz_mix = run_throughput(&resz, &run).ops_per_sec();
+/// The suite as (CLI id, runner) pairs, in run order. E8 and E10 keep
+/// their ids but are measured by the `traversal_hops` and `resize`
+/// benches (DESIGN.md §4).
+pub const EXPERIMENTS: &[(&str, RunExperiment)] = &[
+    ("e1", e1_throughput_vs_threads),
+    ("e2", e2_delay_injection),
+    ("e3", e3_retries_vs_threads),
+    ("e4", e4_hash_buckets),
+    ("e5", e5_skiplist_vs_list),
+    ("e6", e6_bst),
+    ("e7", e7_aux_quiescence),
+    ("e9", e9_multiprogramming),
+];
 
-        final_fill_ratio = resz_fill.inserts_per_sec() / fixed_fill.inserts_per_sec().max(1.0);
-        final_mix_ratio = resz_mix / fixed_mix.max(1.0);
-        final_buckets = resz.bucket_count();
-        table.row_owned(vec![
-            n.to_string(),
-            fmt_ops(fixed_fill.inserts_per_sec()),
-            fmt_ops(resz_fill.inserts_per_sec()),
-            fmt_ops(fixed_mix),
-            fmt_ops(resz_mix),
-            format!("16 vs {}", resz.bucket_count()),
-        ]);
-    }
-    let report = ExperimentReport {
-        id: "E10",
-        claim: "split-ordered resizing keeps buckets short as n grows (§4.1 extended)",
-        table,
-        notes: vec![format!(
-            "at the largest size the resizable table reached {final_buckets} buckets and ran \
-             {final_fill_ratio:.1}x the fixed-16 fill rate / {final_mix_ratio:.1}x its mixed-op \
-             throughput; growth is a CAS on the bucket count — no item ever moves"
-        )],
-    };
-    report.print();
-    report
+/// The experiment with CLI id `id`, if the suite has one.
+pub fn lookup(id: &str) -> Option<RunExperiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|&&(name, _)| name == id)
+        .map(|&(_, run)| run)
 }
 
 /// Runs every experiment with `cfg`.
 pub fn run_all(cfg: &ExpConfig) -> Vec<ExperimentReport> {
-    vec![
-        e1_throughput_vs_threads(cfg),
-        e2_delay_injection(cfg),
-        e3_retries_vs_threads(cfg),
-        e4_hash_buckets(cfg),
-        e5_skiplist_vs_list(cfg),
-        e6_bst(cfg),
-        e7_aux_quiescence(cfg),
-        e8_saferead_overhead(cfg),
-        e9_multiprogramming(cfg),
-        e10_resize(cfg),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(cfg)).collect()
 }
 
 #[cfg(test)]
@@ -864,6 +702,16 @@ mod tests {
         let cfg = ExpConfig::smoke();
         for report in run_all(&cfg) {
             assert!(!report.table.is_empty(), "{} produced no rows", report.id);
+        }
+    }
+
+    #[test]
+    fn every_table_id_resolves_and_bench_backed_ids_do_not() {
+        for (id, _) in EXPERIMENTS {
+            assert!(lookup(id).is_some(), "{id}");
+        }
+        for id in ["e8", "e10"] {
+            assert!(lookup(id).is_none(), "{id}");
         }
     }
 }

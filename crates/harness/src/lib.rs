@@ -1,5 +1,5 @@
 //! Workload generation, throughput measurement, and correctness checking
-//! for the Valois reproduction experiments (DESIGN.md §4, E1–E8).
+//! for the Valois reproduction experiments (DESIGN.md §4, E1–E10).
 //!
 //! * [`workload`] — operation mixes, key distributions, prefilling.
 //! * [`runner`] — multi-threaded duration-based throughput runs with

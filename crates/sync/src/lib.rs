@@ -40,6 +40,4 @@ pub use backoff::Backoff;
 pub use pad::CachePadded;
 pub use primitives::{CasCell, CasPtr, Counter, RefClaim, TestAndSet};
 pub use sharded::Sharded;
-pub use spinlock::{
-    AndersonLock, ClhLock, Lock, LockGuard, LockKind, TasLock, TicketLock, TtasLock,
-};
+pub use spinlock::{ClhLock, Lock, LockGuard, LockKind, TasLock, TicketLock, TtasLock};

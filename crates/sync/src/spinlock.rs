@@ -11,10 +11,7 @@
 //!   (Anderson \[3\]),
 //! * [`TicketLock`] — FIFO ticket lock (Graunke & Thakkar \[8\] family),
 //! * [`ClhLock`] — queue lock with local spinning (the CLH variant of the
-//!   MCS idea from Mellor-Crummey & Scott \[20\]),
-//! * [`AndersonLock`] — Anderson's array-based queue lock \[3\]: one
-//!   padded flag per waiter slot, FIFO, local spinning without heap
-//!   allocation.
+//!   MCS idea from Mellor-Crummey & Scott \[20\]).
 //!
 //! All implement the [`Lock`] trait and hand out RAII [`LockGuard`]s. These
 //! are *mutual exclusion* devices: a thread preempted while holding one
@@ -90,19 +87,11 @@ pub enum LockKind {
     Ticket,
     /// CLH queue lock.
     Clh,
-    /// Anderson array-based queue lock.
-    Anderson,
 }
 
 impl LockKind {
     /// All lock kinds, for parameter sweeps.
-    pub const ALL: [LockKind; 5] = [
-        Self::Tas,
-        Self::Ttas,
-        Self::Ticket,
-        Self::Clh,
-        Self::Anderson,
-    ];
+    pub const ALL: [LockKind; 4] = [Self::Tas, Self::Ttas, Self::Ticket, Self::Clh];
 
     /// Instantiates the chosen lock.
     pub fn build(self) -> Box<dyn Lock> {
@@ -111,7 +100,6 @@ impl LockKind {
             Self::Ttas => Box::new(TtasLock::new()),
             Self::Ticket => Box::new(TicketLock::new()),
             Self::Clh => Box::new(ClhLock::new()),
-            Self::Anderson => Box::new(AndersonLock::new()),
         }
     }
 
@@ -122,7 +110,6 @@ impl LockKind {
             Self::Ttas => "ttas",
             Self::Ticket => "ticket",
             Self::Clh => "clh",
-            Self::Anderson => "anderson",
         }
     }
 }
@@ -346,87 +333,6 @@ impl fmt::Debug for ClhLock {
     }
 }
 
-/// Anderson's array-based queue lock (\[3\]): a ring of cache-padded
-/// flags; each acquirer takes a slot with `Fetch&Add` and spins on *its
-/// own* flag (no global cache-line ping-pong); release passes the flag to
-/// the next slot. FIFO, allocation-free.
-///
-/// Capacity-bounded: at most [`AndersonLock::DEFAULT_SLOTS`] (or the value
-/// given to [`AndersonLock::with_slots`]) threads may contend
-/// simultaneously; more would alias slots.
-pub struct AndersonLock {
-    slots: Box<[CachePadded<AtomicBool>]>,
-    next: CachePadded<AtomicUsize>,
-}
-
-thread_local! {
-    /// (lock address, my slot) pairs for locks currently held/waited on.
-    static ANDERSON_SLOTS: std::cell::RefCell<Vec<(usize, usize)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-impl AndersonLock {
-    /// Default waiter capacity.
-    pub const DEFAULT_SLOTS: usize = 64;
-
-    /// Creates a lock with the default capacity.
-    pub fn new() -> Self {
-        Self::with_slots(Self::DEFAULT_SLOTS)
-    }
-
-    /// Creates a lock supporting up to `slots` simultaneous contenders.
-    pub fn with_slots(slots: usize) -> Self {
-        let slots = slots.max(2);
-        let flags: Box<[CachePadded<AtomicBool>]> = (0..slots)
-            .map(|i| CachePadded::new(AtomicBool::new(i == 0)))
-            .collect();
-        Self {
-            slots: flags,
-            next: CachePadded::new(AtomicUsize::new(0)),
-        }
-    }
-}
-
-impl Default for AndersonLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Lock for AndersonLock {
-    fn acquire(&self) {
-        let me = self.next.fetch_add(1, Ordering::AcqRel) % self.slots.len();
-        while !self.slots[me].load(Ordering::Acquire) {
-            crate::shim::hint::spin_loop();
-        }
-        // Re-arm our slot for its next lap around the ring.
-        self.slots[me].store(false, Ordering::Relaxed);
-        ANDERSON_SLOTS.with(|s| s.borrow_mut().push((self as *const _ as usize, me)));
-    }
-
-    fn release(&self) {
-        let key = self as *const _ as usize;
-        let me = ANDERSON_SLOTS.with(|s| {
-            let mut v = s.borrow_mut();
-            let idx = v
-                .iter()
-                .rposition(|(k, _)| *k == key)
-                .expect("release() without matching acquire() on this thread");
-            v.remove(idx).1
-        });
-        let nxt = (me + 1) % self.slots.len();
-        self.slots[nxt].store(true, Ordering::Release);
-    }
-}
-
-impl fmt::Debug for AndersonLock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AndersonLock")
-            .field("slots", &self.slots.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,21 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn anderson_lock_mutual_exclusion() {
-        assert_eq!(hammer(Arc::new(AndersonLock::new()), 4, 5_000), 20_000);
-    }
-
-    #[test]
-    fn anderson_ring_wraps_many_laps() {
-        // Far more acquisitions than slots: the ring must keep rotating.
-        let lock = AndersonLock::with_slots(4);
-        for _ in 0..1_000 {
-            lock.acquire();
-            lock.release();
-        }
-    }
-
-    #[test]
     fn guard_releases_on_drop() {
         let lock = TtasLock::new();
         {
@@ -511,11 +402,12 @@ mod tests {
 
     #[test]
     fn lock_kind_builds_all_variants() {
+        let names: Vec<_> = LockKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names, ["tas", "ttas", "ticket", "clh"]);
         for kind in LockKind::ALL {
             let lock = kind.build();
             lock.acquire();
             lock.release();
-            assert!(!kind.name().is_empty());
         }
     }
 

@@ -15,11 +15,11 @@
 //! * Building blocks: [`Stack`], [`PriorityQueue`], and the companion
 //!   [`FifoQueue`] (the paper's reference \[27\]).
 //! * The competition: spin locks ([`TasLock`], [`TtasLock`],
-//!   [`TicketLock`], [`ClhLock`], [`AndersonLock`]) and the lock-based
+//!   [`TicketLock`], [`ClhLock`]) and the lock-based
 //!   dictionaries in [`baseline`], plus the intentionally broken naive CAS
 //!   list whose Fig. 2/3 anomalies motivate the whole design.
 //! * Measurement: [`harness`] (workloads, throughput, latency histograms,
-//!   a linearizability checker) driving the E1–E9 experiment suite in
+//!   a linearizability checker) driving the E1–E10 experiment suite in
 //!   `valois-bench`.
 //!
 //! # Quickstart
@@ -63,6 +63,4 @@ pub use valois_dict::{
 };
 pub use valois_mem::{ArenaConfig, MemStats};
 pub use valois_server::{Server, ServiceConfig};
-pub use valois_sync::{
-    AndersonLock, Backoff, ClhLock, Lock, LockKind, TasLock, TicketLock, TtasLock,
-};
+pub use valois_sync::{Backoff, ClhLock, Lock, LockKind, TasLock, TicketLock, TtasLock};
