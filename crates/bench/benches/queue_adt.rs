@@ -1,6 +1,6 @@
 //! Building-block ADT benchmarks: the \[27\] FIFO queue, the stack, and
 //! the priority queue, against `Mutex<VecDeque>`/`Mutex<BinaryHeap>`
-//! references.
+//! references; plus the per-request cost of a queue-backed reply channel.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Mutex;
@@ -8,6 +8,7 @@ use std::sync::Mutex;
 use valois_bench::criterion::{black_box, Criterion};
 use valois_bench::{criterion_group, criterion_main};
 use valois_core::adt::{PriorityQueue, Stack};
+use valois_core::channel::{channel, Sender};
 use valois_core::queue::FifoQueue;
 
 fn bench_queue_cycle(c: &mut Criterion) {
@@ -53,6 +54,32 @@ fn bench_queue_contended(c: &mut Criterion) {
             });
             black_box(q.len())
         });
+    });
+    group.finish();
+}
+
+/// What `valois-server` pays per request for its reply path: build a
+/// fresh channel, hand its `Sender` to a long-lived worker thread (over a
+/// second channel, as a shard's request queue does), receive the one
+/// reply, drop both halves. `create_drop` isolates the construction cost.
+fn bench_channel_roundtrip(c: &mut Criterion) {
+    let mut group = c.benchmark_group("channel_roundtrip");
+    group.bench_function("create_drop", |b| b.iter(channel::<u64>));
+    let (req_tx, req_rx) = channel::<Sender<u64>>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for reply in req_rx.iter() {
+                let _ = reply.send(7);
+            }
+        });
+        group.bench_function("two_thread", |b| {
+            b.iter(|| {
+                let (tx, rx) = channel::<u64>();
+                req_tx.send(tx).unwrap();
+                rx.recv()
+            });
+        });
+        drop(req_tx);
     });
     group.finish();
 }
@@ -106,6 +133,7 @@ criterion_group!(
     benches,
     bench_queue_cycle,
     bench_queue_contended,
+    bench_channel_roundtrip,
     bench_stack_cycle,
     bench_pqueue
 );

@@ -12,11 +12,17 @@
 
 use std::fmt;
 use std::sync::Arc;
+use valois_mem::ArenaConfig;
 use valois_sync::shim::atomic::{AtomicUsize, Ordering};
 
-use crate::queue::FifoQueue;
+use crate::queue::{FifoQueue, MIN_INITIAL_CAPACITY};
 
 /// Creates an unbounded MPMC channel.
+///
+/// The queue's node pool starts at the smallest segment a [`FifoQueue`]
+/// allows (8 nodes, not the 1024 of [`ArenaConfig::default`]) and doubles
+/// on demand, so a one-reply channel costs about one reply while a
+/// long-lived channel still grows to its backlog.
 ///
 /// # Example
 ///
@@ -31,7 +37,7 @@ use crate::queue::FifoQueue;
 /// ```
 pub fn channel<T: Send + Sync>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: FifoQueue::new(),
+        queue: FifoQueue::with_config(ArenaConfig::new().initial_capacity(MIN_INITIAL_CAPACITY)),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
     });
@@ -203,11 +209,13 @@ mod tests {
 
     #[test]
     fn roundtrip_fifo() {
+        // Enough backlog to grow the 8-node first segment many times.
         let (tx, rx) = channel::<u32>();
-        for i in 0..10 {
+        for i in 0..10_000 {
             tx.send(i).unwrap();
         }
-        for i in 0..10 {
+        assert!(rx.shared.queue.node_capacity() > 10_000);
+        for i in 0..10_000 {
             assert_eq!(rx.try_recv(), Ok(i));
         }
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
@@ -264,7 +272,12 @@ mod tests {
                 let received = &received;
                 s.spawn(move || {
                     let mut local = Vec::new();
+                    let mut last = [None; 4];
                     while let Some(v) = rx.recv() {
+                        // FIFO: one receiver sees each producer in order.
+                        let p = (v / 5_000) as usize;
+                        assert!(last[p] < Some(v), "producer {p} reordered");
+                        last[p] = Some(v);
                         local.push(v);
                     }
                     received.lock().unwrap().extend(local);
@@ -276,6 +289,25 @@ mod tests {
         assert_eq!(all.len() as u64, total);
         all.sort_unstable();
         assert_eq!(all, (0..total).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn one_reply_channel_fits_its_first_segment() {
+        // The service's reply pattern: the receiver's thread builds the
+        // channel (allocating the queue's dummy), another thread sends
+        // once. Neither side may grow the 8-node pool.
+        let (tx, rx) = channel::<u64>();
+        std::thread::scope(|s| {
+            s.spawn(move || tx.send(7).unwrap());
+        });
+        assert_eq!(rx.recv(), Some(7));
+        let queue = &rx.shared.queue;
+        assert!(
+            queue.node_capacity() <= 8,
+            "{} nodes",
+            queue.node_capacity()
+        );
+        assert_eq!(queue.mem_stats().grows, 1, "only the first segment");
     }
 
     #[test]

@@ -21,6 +21,10 @@ use valois_mem::{AllocError, Arena, ArenaConfig, Link, MemStats};
 
 use crate::node::{Node, NodeKind};
 
+/// Smallest first arena segment a queue gets: [`FifoQueue::with_config`]
+/// raises any smaller `initial_capacity` to this.
+pub(crate) const MIN_INITIAL_CAPACITY: usize = 8;
+
 /// A lock-free multi-producer multi-consumer FIFO queue (\[27\]).
 ///
 /// # Example
@@ -59,7 +63,7 @@ impl<T: Send + Sync> FifoQueue<T> {
     /// Creates an empty queue with `config`.
     pub fn with_config(config: ArenaConfig) -> Self {
         let config = ArenaConfig {
-            initial_capacity: config.initial_capacity.max(8),
+            initial_capacity: config.initial_capacity.max(MIN_INITIAL_CAPACITY),
             ..config
         };
         let arena: Arena<Node<T>> = Arena::with_config(config);
@@ -195,6 +199,12 @@ impl<T: Send + Sync> FifoQueue<T> {
     /// Memory-protocol counters (§5 traffic).
     pub fn mem_stats(&self) -> MemStats {
         self.arena.stats()
+    }
+
+    /// Total nodes owned by the backing arena (free + live).
+    #[cfg(test)]
+    pub(crate) fn node_capacity(&self) -> usize {
+        self.arena.capacity()
     }
 }
 

@@ -57,7 +57,9 @@ pub(crate) const MAGAZINE_CAP: usize = 64;
 pub(crate) const MAGAZINE_CAP: usize = 1;
 
 /// Nodes `Alloc` pops from the global list into an empty magazine in one
-/// refill (the first goes to the caller).
+/// refill (the first goes to the caller). `Arena::refill_and_pop` bounds
+/// the batch by a quarter of the pool, so a small arena keeps nodes on
+/// the global list and a second thread's first alloc does not grow it.
 #[cfg(not(loom))]
 pub(crate) const REFILL_BATCH: usize = 32;
 /// Minimal refill under the model checker.
