@@ -412,14 +412,6 @@ fn main() {
     if want("service") {
         soak_service(args.secs, args.threads);
     }
-    // Flight-recorder summary (non-empty only with `--features trace`):
-    // protocol-level counters and histograms aggregated across all soak
-    // threads — CAS failure rate, SafeRead/Release traffic per hop,
-    // backoff and batch-size distributions.
-    let metrics = valois_trace::snapshot();
-    if !metrics.is_empty() {
-        println!("--- flight recorder ---\n{metrics}");
-    }
     assert!(
         !args.inject_failure,
         "injected failure (--inject-failure): exercising the post-mortem dump path"

@@ -141,7 +141,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             pre_cell: std::ptr::null_mut(),
             defer: DeferredReleases::new(),
             tally: MemTally::new(),
-            ops: ListTally::default(),
+            ops: ListTally::new(),
             unflushed: 0,
         };
         cursor.seek_first_inner();
@@ -171,7 +171,7 @@ impl<'a, T: Send + Sync, R: Reclaimer> Cursor<'a, T, R> {
             pre_cell: std::ptr::null_mut(),
             defer: DeferredReleases::new(),
             tally: MemTally::new(),
-            ops: ListTally::default(),
+            ops: ListTally::new(),
             unflushed: 0,
         };
         let arena = list.arena();
@@ -687,7 +687,7 @@ impl<T: Send + Sync, R: Reclaimer> Clone for Cursor<'_, T, R> {
             // with empty buffers of its own.
             defer: DeferredReleases::new(),
             tally: MemTally::new(),
-            ops: ListTally::default(),
+            ops: ListTally::new(),
             unflushed: 0,
         }
     }

@@ -219,18 +219,30 @@ mod hash {
     fn more_buckets_fewer_retries() {
         // §4.1's hash-table claim in miniature: spreading a contended
         // workload over many buckets reduces retries vs one bucket.
+        // Each thread inserts and removes its own keys, interleaved in
+        // key order with the other threads' keys: in one bucket every
+        // update lands next to another thread's key, while in 64 buckets
+        // two threads share a bucket only on a hash collision. (With keys
+        // shared by all threads, same-key conflicts, which no bucket
+        // count removes, made up most retries.) Retries need threads to
+        // overlap, and how often they do depends on what else holds the
+        // cores, so the two arms alternate in short rounds and each sums
+        // 20,000 ops per thread: both see the same mix of schedules.
+        const ROUNDS: u64 = 10;
+        const OPS: u64 = 2_000;
         let run = |buckets: usize| -> u64 {
             let d: HashDict<u64, u64> = HashDict::with_buckets(buckets);
+            let t = threads();
             std::thread::scope(|s| {
                 let d = &d;
-                for tid in 0..threads() {
+                for tid in 0..t {
                     s.spawn(move || {
-                        for i in 0..1_000u64 {
-                            let k = i % 32;
-                            if (i + tid) % 2 == 0 {
-                                d.insert(k, tid);
+                        for i in 0..OPS {
+                            let k = (i / 2 % 8) * t + tid;
+                            if i % 2 == 0 {
+                                assert!(d.insert(k, tid), "{k} is this thread's key");
                             } else {
-                                d.remove(&k);
+                                assert!(d.remove(&k), "{k} is this thread's key");
                             }
                         }
                     });
@@ -238,8 +250,11 @@ mod hash {
             });
             d.total_retries()
         };
-        let single = run(1);
-        let many = run(64);
+        let (mut single, mut many) = (0, 0);
+        for _ in 0..ROUNDS {
+            single += run(1);
+            many += run(64);
+        }
         // Not a hard guarantee per run, but overwhelmingly true; allow
         // equality for fast machines where contention is negligible.
         assert!(

@@ -5,40 +5,80 @@
 //! counts. E8 also showed the *instrumentation itself* used to be part of
 //! the problem: a single set of relaxed atomics meant every `safe_read`
 //! from every thread bumped the same cache line. The counters are now
-//! [`Sharded`] — cache-line-padded per-shard atomics with a summing read
-//! side — and the hot paths batch their events in a thread-private
-//! [`MemTally`] that is folded into the shards in one `fetch_add` per
-//! counter per batch.
+//! [`Sharded`](valois_sync::Sharded) — cache-line-padded per-shard atomics
+//! with a summing read side — and the hot paths batch their events in a
+//! thread-private [`MemTally`] that is folded into the shards in one
+//! `fetch_add` per counter per batch. The field table below is the only
+//! place the counter names are listed; `valois_sync::counter_set!`
+//! generates the snapshot, shard, tally and their arithmetic from it.
 
-use std::fmt;
-
-use valois_sync::sharded::Sharded;
 use valois_sync::shim::atomic::{AtomicU64, Ordering};
 
-/// One shard of the arena's counters (all nine live on one padded line).
-#[derive(Default)]
-pub(crate) struct StatShard {
-    pub(crate) safe_reads: AtomicU64,
-    pub(crate) safe_read_retries: AtomicU64,
-    pub(crate) releases: AtomicU64,
-    pub(crate) allocs: AtomicU64,
-    pub(crate) alloc_retries: AtomicU64,
-    pub(crate) reclaims: AtomicU64,
-    pub(crate) swings: AtomicU64,
-    pub(crate) swing_failures: AtomicU64,
-    pub(crate) grows: AtomicU64,
-}
-
-/// Sharded live counters owned by an [`Arena`](crate::Arena).
-pub struct StatCounters {
-    shards: Sharded<StatShard>,
-}
-
-impl Default for StatCounters {
-    fn default() -> Self {
-        Self {
-            shards: Sharded::new(),
-        }
+valois_sync::counter_set! {
+    /// Point-in-time snapshot of an arena's activity counters.
+    ///
+    /// Obtain via [`Arena::stats`](crate::Arena::stats). Differences between two
+    /// snapshots measure a workload's memory-protocol traffic (experiments
+    /// E3/E8).
+    pub struct MemStats;
+    /// Sharded live counters owned by an [`Arena`](crate::Arena).
+    pub(crate) struct StatCounters(Sharded<StatShard>);
+    /// A thread-private batch of hot-path protocol events.
+    ///
+    /// `Arena::safe_read_tallied` and the deferred-release drain record their
+    /// traffic here with plain integer adds — no shared-memory RMW per event —
+    /// and the owner folds the batch into the arena's sharded counters via
+    /// `Arena::flush_tally` (or implicitly: `release`/`safe_read` absorb their
+    /// own single-shot tallies). Until a tally is flushed its events are
+    /// invisible to [`Arena::stats`](crate::Arena::stats); cursors flush on
+    /// drop.
+    pub struct MemTally;
+    tallied {
+        /// Completed `SafeRead` operations (Fig. 15).
+        safe_reads,
+        /// `SafeRead` retries (pointer changed between read and increment).
+        safe_read_retries,
+        /// `Release` operations (Fig. 16), including link releases at reclaim.
+        releases,
+        /// Reclamations (Fig. 18 pushes back onto the free list).
+        reclaims,
+    }
+    sharded {
+        /// Successful `Alloc` operations (Fig. 17).
+        allocs,
+        /// `Alloc` CAS retries (free-list head contention).
+        alloc_retries,
+        /// Counted-link CAS swings attempted via `Arena::swing`.
+        swings,
+        /// Swings whose CAS failed (contention/invalid cursor — the paper's
+        /// retry signal).
+        swing_failures,
+        /// Arena segment growth events.
+        grows,
+    }
+    external {
+        /// Epoch backend: outermost pins taken (one per protected operation).
+        /// Zero under the refcount backend (likewise for every field below).
+        epoch_pins,
+        /// Epoch backend: successful global-epoch advances.
+        epoch_advances,
+        /// Epoch backend: nodes retired into limbo (link in-degree hit zero).
+        epoch_retires,
+        /// Epoch backend: limbo nodes whose grace period elapsed and were
+        /// recycled.
+        epoch_frees,
+    }
+    gauges {
+        /// Epoch backend **gauge** (point-in-time, not cumulative): nodes
+        /// currently in limbo. A large value alongside `AllocError` means
+        /// reclamation is blocked — check `epoch_pin_lag`. Sums across
+        /// arenas: the total garbage parked.
+        epoch_limbo_depth: saturating_add,
+        /// Epoch backend **gauge**: how many epochs the oldest pinned thread
+        /// lags the global epoch (0 = nobody stalled). A persistently large
+        /// lag identifies a stalled reader pinning an old epoch. Across
+        /// arenas the worst lag is kept.
+        epoch_pin_lag: max,
     }
 }
 
@@ -48,154 +88,9 @@ impl StatCounters {
     pub(crate) fn bump(&self, pick: impl FnOnce(&StatShard) -> &AtomicU64) {
         pick(self.shards.get()).fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Folds a thread-private tally into the current thread's shard and
-    /// clears it. One `fetch_add` per non-zero field, however many events
-    /// the tally batched.
-    pub(crate) fn absorb(&self, tally: &mut MemTally) {
-        let shard = self.shards.get();
-        for (count, counter) in [
-            (tally.safe_reads, &shard.safe_reads),
-            (tally.safe_read_retries, &shard.safe_read_retries),
-            (tally.releases, &shard.releases),
-            (tally.reclaims, &shard.reclaims),
-        ] {
-            if count != 0 {
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        *tally = MemTally::new();
-    }
-
-    /// Takes a point-in-time snapshot (sums every shard).
-    pub fn snapshot(&self) -> MemStats {
-        let mut s = MemStats::default();
-        for shard in self.shards.shards() {
-            s.safe_reads += shard.safe_reads.load(Ordering::Relaxed);
-            s.safe_read_retries += shard.safe_read_retries.load(Ordering::Relaxed);
-            s.releases += shard.releases.load(Ordering::Relaxed);
-            s.allocs += shard.allocs.load(Ordering::Relaxed);
-            s.alloc_retries += shard.alloc_retries.load(Ordering::Relaxed);
-            s.reclaims += shard.reclaims.load(Ordering::Relaxed);
-            s.swings += shard.swings.load(Ordering::Relaxed);
-            s.swing_failures += shard.swing_failures.load(Ordering::Relaxed);
-            s.grows += shard.grows.load(Ordering::Relaxed);
-        }
-        s
-    }
-}
-
-impl fmt::Debug for StatCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.snapshot().fmt(f)
-    }
-}
-
-/// A thread-private batch of hot-path protocol events.
-///
-/// `Arena::safe_read_tallied` and the deferred-release drain record their
-/// traffic here with plain integer adds — no shared-memory RMW per event —
-/// and the owner folds the batch into the arena's sharded counters via
-/// `Arena::flush_tally` (or implicitly: `release`/`safe_read` absorb their
-/// own single-shot tallies). Until a tally is flushed its events are
-/// invisible to [`Arena::stats`](crate::Arena::stats); cursors flush on
-/// drop.
-#[derive(Debug, Clone, Default)]
-pub struct MemTally {
-    pub(crate) safe_reads: u64,
-    pub(crate) safe_read_retries: u64,
-    pub(crate) releases: u64,
-    pub(crate) reclaims: u64,
-}
-
-impl MemTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether any events are batched.
-    pub fn is_empty(&self) -> bool {
-        self.safe_reads == 0
-            && self.safe_read_retries == 0
-            && self.releases == 0
-            && self.reclaims == 0
-    }
-}
-
-/// Point-in-time snapshot of an arena's activity counters.
-///
-/// Obtain via [`Arena::stats`](crate::Arena::stats). Differences between two
-/// snapshots measure a workload's memory-protocol traffic (experiments
-/// E3/E8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Completed `SafeRead` operations (Fig. 15).
-    pub safe_reads: u64,
-    /// `SafeRead` retries (pointer changed between read and increment).
-    pub safe_read_retries: u64,
-    /// `Release` operations (Fig. 16), including link releases at reclaim.
-    pub releases: u64,
-    /// Successful `Alloc` operations (Fig. 17).
-    pub allocs: u64,
-    /// `Alloc` CAS retries (free-list head contention).
-    pub alloc_retries: u64,
-    /// Reclamations (Fig. 18 pushes back onto the free list).
-    pub reclaims: u64,
-    /// Counted-link CAS swings attempted via `Arena::swing`.
-    pub swings: u64,
-    /// Swings whose CAS failed (contention/invalid cursor — the paper's
-    /// retry signal).
-    pub swing_failures: u64,
-    /// Arena segment growth events.
-    pub grows: u64,
-    /// Epoch backend: outermost pins taken (one per protected operation).
-    /// Zero under the refcount backend (likewise for every field below).
-    pub epoch_pins: u64,
-    /// Epoch backend: successful global-epoch advances.
-    pub epoch_advances: u64,
-    /// Epoch backend: nodes retired into limbo (link in-degree hit zero).
-    pub epoch_retires: u64,
-    /// Epoch backend: limbo nodes whose grace period elapsed and were
-    /// recycled.
-    pub epoch_frees: u64,
-    /// Epoch backend **gauge** (point-in-time, not cumulative): nodes
-    /// currently in limbo. A large value alongside `AllocError` means
-    /// reclamation is blocked — check `epoch_pin_lag`.
-    pub epoch_limbo_depth: u64,
-    /// Epoch backend **gauge**: how many epochs the oldest pinned thread
-    /// lags the global epoch (0 = nobody stalled). A persistently large
-    /// lag identifies a stalled reader pinning an old epoch.
-    pub epoch_pin_lag: u64,
 }
 
 impl MemStats {
-    /// Component-wise difference (`self - earlier`), saturating at zero.
-    /// The `epoch_limbo_depth`/`epoch_pin_lag` *gauges* are carried over
-    /// from `self` unchanged (differencing a point-in-time gauge is
-    /// meaningless).
-    pub fn since(&self, earlier: &MemStats) -> MemStats {
-        MemStats {
-            safe_reads: self.safe_reads.saturating_sub(earlier.safe_reads),
-            safe_read_retries: self
-                .safe_read_retries
-                .saturating_sub(earlier.safe_read_retries),
-            releases: self.releases.saturating_sub(earlier.releases),
-            allocs: self.allocs.saturating_sub(earlier.allocs),
-            alloc_retries: self.alloc_retries.saturating_sub(earlier.alloc_retries),
-            reclaims: self.reclaims.saturating_sub(earlier.reclaims),
-            swings: self.swings.saturating_sub(earlier.swings),
-            swing_failures: self.swing_failures.saturating_sub(earlier.swing_failures),
-            grows: self.grows.saturating_sub(earlier.grows),
-            epoch_pins: self.epoch_pins.saturating_sub(earlier.epoch_pins),
-            epoch_advances: self.epoch_advances.saturating_sub(earlier.epoch_advances),
-            epoch_retires: self.epoch_retires.saturating_sub(earlier.epoch_retires),
-            epoch_frees: self.epoch_frees.saturating_sub(earlier.epoch_frees),
-            epoch_limbo_depth: self.epoch_limbo_depth,
-            epoch_pin_lag: self.epoch_pin_lag,
-        }
-    }
-
     /// Nodes currently checked out (allocated and not yet reclaimed).
     pub fn live_nodes(&self) -> u64 {
         self.allocs.saturating_sub(self.reclaims)
@@ -205,6 +100,88 @@ impl MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every field distinct, so a field dropped from the table, or filed
+    /// under the wrong section, changes one of the results.
+    #[test]
+    fn table_pins_since_and_sum_for_every_field() {
+        let later = MemStats {
+            safe_reads: 1100,
+            safe_read_retries: 1200,
+            releases: 1300,
+            reclaims: 1400,
+            allocs: 1500,
+            alloc_retries: 1600,
+            swings: 1700,
+            swing_failures: 1800,
+            grows: 1900,
+            epoch_pins: 2000,
+            epoch_advances: 2100,
+            epoch_retires: 2200,
+            epoch_frees: 2300,
+            epoch_limbo_depth: 2400,
+            epoch_pin_lag: 2500,
+        };
+        let earlier = MemStats {
+            safe_reads: 1,
+            safe_read_retries: 2,
+            releases: 3,
+            reclaims: 4,
+            allocs: 5,
+            alloc_retries: 6,
+            swings: 7,
+            swing_failures: 8,
+            grows: 9,
+            epoch_pins: 10,
+            epoch_advances: 11,
+            epoch_retires: 12,
+            epoch_frees: 13,
+            epoch_limbo_depth: 14,
+            epoch_pin_lag: 15,
+        };
+        assert_eq!(
+            later.since(&earlier),
+            MemStats {
+                safe_reads: 1099,
+                safe_read_retries: 1198,
+                releases: 1297,
+                reclaims: 1396,
+                allocs: 1495,
+                alloc_retries: 1594,
+                swings: 1693,
+                swing_failures: 1792,
+                grows: 1891,
+                epoch_pins: 1990,
+                epoch_advances: 2089,
+                epoch_retires: 2188,
+                epoch_frees: 2287,
+                // Gauges carry the later reading.
+                epoch_limbo_depth: 2400,
+                epoch_pin_lag: 2500,
+            }
+        );
+        assert_eq!(
+            [later, earlier].into_iter().sum::<MemStats>(),
+            MemStats {
+                safe_reads: 1101,
+                safe_read_retries: 1202,
+                releases: 1303,
+                reclaims: 1404,
+                allocs: 1505,
+                alloc_retries: 1606,
+                swings: 1707,
+                swing_failures: 1808,
+                grows: 1909,
+                epoch_pins: 2010,
+                epoch_advances: 2111,
+                epoch_retires: 2212,
+                epoch_frees: 2313,
+                // Limbo depth totals; pin lag keeps the worst reading.
+                epoch_limbo_depth: 2414,
+                epoch_pin_lag: 2500,
+            }
+        );
+    }
 
     #[test]
     fn snapshot_reflects_bumps() {

@@ -172,31 +172,11 @@ impl<R: Reclaimer> Server<R> {
         merged
     }
 
-    /// Memory-protocol counters summed across shard arenas (gauges like
-    /// `epoch_limbo_depth` sum too: total garbage parked service-wide).
+    /// Memory-protocol counters summed across shard arenas. The
+    /// `epoch_limbo_depth` gauge sums too (total garbage parked
+    /// service-wide); `epoch_pin_lag` keeps the worst shard's lag.
     pub fn mem_stats(&self) -> MemStats {
-        let mut out = MemStats::default();
-        for s in &self.shards {
-            let m = s.mem_stats();
-            out = MemStats {
-                safe_reads: out.safe_reads + m.safe_reads,
-                safe_read_retries: out.safe_read_retries + m.safe_read_retries,
-                releases: out.releases + m.releases,
-                allocs: out.allocs + m.allocs,
-                alloc_retries: out.alloc_retries + m.alloc_retries,
-                reclaims: out.reclaims + m.reclaims,
-                swings: out.swings + m.swings,
-                swing_failures: out.swing_failures + m.swing_failures,
-                grows: out.grows + m.grows,
-                epoch_pins: out.epoch_pins + m.epoch_pins,
-                epoch_advances: out.epoch_advances + m.epoch_advances,
-                epoch_retires: out.epoch_retires + m.epoch_retires,
-                epoch_frees: out.epoch_frees + m.epoch_frees,
-                epoch_limbo_depth: out.epoch_limbo_depth + m.epoch_limbo_depth,
-                epoch_pin_lag: out.epoch_pin_lag.max(m.epoch_pin_lag),
-            };
-        }
-        out
+        self.shards.iter().map(|s| s.mem_stats()).sum()
     }
 
     /// Total items across shard dictionaries (best-effort snapshot).
@@ -314,5 +294,29 @@ impl<R: Reclaimer> Dictionary<u64, u64> for BlockingClient<'_, R> {
 
     fn len(&self) -> usize {
         self.server.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// [`Server::mem_stats`] folds its shards' snapshots with `MemStats`'
+    /// sum: limbo depth totals the garbage parked across shards, while the
+    /// pin lag reports the worst shard (a sum of lags names no reader).
+    #[test]
+    fn mem_stats_sums_limbo_depth_and_keeps_worst_pin_lag() {
+        let shard = |epoch_limbo_depth, epoch_pin_lag, allocs| MemStats {
+            epoch_limbo_depth,
+            epoch_pin_lag,
+            allocs,
+            ..MemStats::default()
+        };
+        let total: MemStats = [shard(3, 1, 10), shard(5, 4, 20), shard(0, 2, 30)]
+            .into_iter()
+            .sum();
+        assert_eq!(total.epoch_limbo_depth, 8);
+        assert_eq!(total.epoch_pin_lag, 4);
+        assert_eq!(total.allocs, 60);
     }
 }

@@ -1,7 +1,7 @@
 //! The live stats feed: a sampler thread turning the service's always-on
 //! counters into per-interval [`Tick`]s.
 //!
-//! Three layers feed one tick, none of them added for monitoring's sake:
+//! Two layers feed one tick, neither added for monitoring's sake:
 //!
 //! 1. **Shard counters** — completed/batches/commits, plus the latency
 //!    histogram (racy snapshot reads, as all live monitoring is).
@@ -11,8 +11,6 @@
 //!    drop; without that flush a long-lived cursor froze the feed (the
 //!    stale-live-stats bug this PR fixes, pinned by
 //!    `crates/core/tests/live_stats.rs`).
-//! 3. **Flight recorder** — [`valois_trace::snapshot`] deltas when the
-//!    `trace` feature armed the recorder; all-zero otherwise.
 //!
 //! See `docs/OBSERVABILITY.md` for the workflow.
 
@@ -22,7 +20,7 @@ use std::time::Duration;
 
 use valois_core::ListStats;
 use valois_harness::LatencySummary;
-use valois_mem::Reclaimer;
+use valois_mem::{MemStats, Reclaimer};
 use valois_sync::shim::atomic::{AtomicBool, Ordering};
 
 use crate::shard::Shard;
@@ -50,9 +48,6 @@ pub struct Tick {
     pub safe_reads: u64,
     /// Epoch-backend gauge: nodes currently parked in limbo, all shards.
     pub epoch_limbo_depth: u64,
-    /// Flight-recorder events during this interval (0 when the recorder
-    /// is off).
-    pub trace_events: u64,
 }
 
 impl std::fmt::Display for Tick {
@@ -92,17 +87,12 @@ impl std::fmt::Debug for StatsFeed {
     }
 }
 
-/// Sums the interesting [`ListStats`] fields across shards.
-fn sum_list_stats<R: Reclaimer>(shards: &[Arc<Shard<R>>]) -> ListStats {
-    let mut out = ListStats::default();
-    for s in shards {
-        let l = s.dict.list_stats();
-        out.next_steps += l.next_steps;
-        out.insert_successes += l.insert_successes;
-        out.delete_successes += l.delete_successes;
-        out.updates += l.updates;
-    }
-    out
+/// Every shard's list and memory counters, summed.
+fn sum_stats<R: Reclaimer>(shards: &[Arc<Shard<R>>]) -> (ListStats, MemStats) {
+    (
+        shards.iter().map(|s| s.dict.list_stats()).sum(),
+        shards.iter().map(|s| s.mem_stats()).sum(),
+    )
 }
 
 impl StatsFeed {
@@ -124,9 +114,7 @@ impl StatsFeed {
                 let stop = stop_in;
                 let mut index = 0u64;
                 let mut prev_completed = 0u64;
-                let mut prev_list = sum_list_stats(&shards);
-                let mut prev_safe_reads = 0u64;
-                let mut prev_trace = valois_trace::snapshot();
+                let (mut prev_list, mut prev_mem) = sum_stats(&shards);
                 // ORDER: Acquire pairs with the Release store in
                 // `StatsFeed::stop`/`Drop` — the plain stop-flag
                 // handshake before the join.
@@ -136,15 +124,9 @@ impl StatsFeed {
                         .iter()
                         .map(|s| s.stats.completed.load(Ordering::Relaxed))
                         .sum();
-                    let list = sum_list_stats(&shards);
+                    let (list, mem) = sum_stats(&shards);
                     let list_delta = list.since(&prev_list);
-                    let mut safe_reads = 0u64;
-                    let mut limbo = 0u64;
-                    for s in &shards {
-                        let m = s.mem_stats();
-                        safe_reads += m.safe_reads;
-                        limbo += m.epoch_limbo_depth;
-                    }
+                    let mem_delta = mem.since(&prev_mem);
                     let latency = {
                         let merged = valois_harness::LatencyHistogram::new();
                         for s in &shards {
@@ -152,13 +134,6 @@ impl StatsFeed {
                         }
                         merged.summary()
                     };
-                    let trace = valois_trace::snapshot();
-                    let trace_events: u64 = trace
-                        .counts
-                        .iter()
-                        .zip(prev_trace.counts.iter())
-                        .map(|(now, then)| now.saturating_sub(*then))
-                        .sum();
                     let tick = Tick {
                         index,
                         completed,
@@ -169,9 +144,8 @@ impl StatsFeed {
                         next_steps: list_delta.next_steps,
                         inserts: list_delta.insert_successes,
                         deletes: list_delta.delete_successes,
-                        safe_reads: safe_reads.saturating_sub(prev_safe_reads),
-                        epoch_limbo_depth: limbo,
-                        trace_events,
+                        safe_reads: mem_delta.safe_reads,
+                        epoch_limbo_depth: mem_delta.epoch_limbo_depth,
                     };
                     if print {
                         println!("{tick}");
@@ -179,8 +153,7 @@ impl StatsFeed {
                     ticks_in.lock().expect("feed mutex").push(tick);
                     prev_completed = completed;
                     prev_list = list;
-                    prev_safe_reads = safe_reads;
-                    prev_trace = trace;
+                    prev_mem = mem;
                     index += 1;
                 }
             })

@@ -4,25 +4,29 @@
 //! The paper builds everything from three single-word atomic primitives:
 //!
 //! * **Compare&Swap** (Fig. 1 of the paper) — the universal primitive used to
-//!   *swing* pointers,
+//!   *swing* pointers ([`CasPtr`]),
 //! * **Test&Set** — used by the `claim` bit of the memory manager (§5.1),
-//! * **Fetch&Add** — used by the reference counts (§5.1).
+//! * **Fetch&Add** — used by the reference counts (§5.1); with the claim
+//!   bit it lives in one word, [`RefClaim`].
 //!
-//! This crate provides paper-faithful wrappers over [`std::sync::atomic`]
-//! ([`primitives`]), the exponential [`Backoff`] the paper recommends for
-//! contention management (§2.1), the spin locks used as baselines
-//! ([`spinlock`]), and a [`CachePadded`] helper to keep hot shared words on
-//! separate cache lines.
+//! This crate provides those paper-faithful wrappers over
+//! [`std::sync::atomic`] ([`primitives`]), the exponential [`Backoff`] the
+//! paper recommends for contention management (§2.1), the spin locks used
+//! as baselines ([`spinlock`]), a [`CachePadded`] helper to keep hot
+//! shared words on separate cache lines, and [`Sharded`] with
+//! [`counter_set!`] for the always-on statistics.
 //!
 //! # Example
 //!
 //! ```
-//! use valois_sync::primitives::CasCell;
+//! use valois_sync::primitives::CasPtr;
 //!
-//! let cell = CasCell::new(7usize);
-//! assert!(cell.compare_and_swap(7, 8));
-//! assert!(!cell.compare_and_swap(7, 9));
-//! assert_eq!(cell.read(), 8);
+//! let (mut a, mut b) = (7u32, 8u32);
+//! let (a, b) = (&mut a as *mut u32, &mut b as *mut u32);
+//! let cell = CasPtr::new(a);
+//! assert!(cell.compare_and_swap(a, b));
+//! assert!(!cell.compare_and_swap(a, std::ptr::null_mut()));
+//! assert_eq!(cell.read(), b);
 //! ```
 
 #![warn(missing_docs)]
@@ -38,6 +42,6 @@ pub mod spinlock;
 
 pub use backoff::Backoff;
 pub use pad::CachePadded;
-pub use primitives::{CasCell, CasPtr, Counter, RefClaim, TestAndSet};
+pub use primitives::{CasPtr, RefClaim};
 pub use sharded::Sharded;
 pub use spinlock::{ClhLock, Lock, LockGuard, LockKind, TasLock, TicketLock, TtasLock};

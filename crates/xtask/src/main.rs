@@ -105,17 +105,6 @@ fn trace_dump(path: &Path) -> ExitCode {
         }
         println!();
     }
-    println!();
-    println!("# counters");
-    for (kind, &count) in tf.counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let name = valois_trace::EventKind::from_u8(kind as u8)
-            .map(valois_trace::EventKind::name)
-            .unwrap_or("?unknown");
-        println!("{name:<20} {count}");
-    }
     ExitCode::SUCCESS
 }
 
