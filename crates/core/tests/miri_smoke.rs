@@ -124,3 +124,24 @@ fn smoke_two_thread_insert_delete_race() {
     list.check_structure().unwrap();
     list.audit_refcounts().unwrap();
 }
+
+#[test]
+fn smoke_huge_page_segment_roundtrip() {
+    // One arena segment of 512 nodes with 4 KiB payloads spans more than
+    // 2 MiB, so the arena allocates it 2 MiB-aligned; Miri checks that
+    // teardown frees it with the layout it was allocated with.
+    let mut list: List<[u64; 512]> = List::with_config(ArenaConfig::new().initial_capacity(512));
+    assert!(list.node_capacity() * std::mem::size_of::<[u64; 512]>() >= 2 << 20);
+    let mut c = list.cursor();
+    for v in [3u64, 2, 1] {
+        c.insert([v; 512]).unwrap();
+    }
+    c.seek_first();
+    assert!(c.try_delete());
+    drop(c);
+    list.quiescent_collect();
+    let firsts: Vec<u64> = list.iter().map(|cell| cell[0]).collect();
+    assert_eq!(firsts, vec![2, 3]);
+    list.check_structure().unwrap();
+    list.audit_refcounts().unwrap();
+}

@@ -33,6 +33,7 @@ use crate::epoch::{EpochDomain, COLLECT_EVERY};
 use crate::magazine::{MagazineGuard, MagazineSlot, MAGAZINE_CAP, MAG_SLOTS, REFILL_BATCH};
 use crate::managed::{Link, Managed};
 use crate::reclaim::{Reclaimer, RefCount};
+use crate::segment::Segment;
 use crate::stats::{MemStats, MemTally, StatCounters};
 
 /// Configuration for an [`Arena`].
@@ -115,9 +116,10 @@ impl Error for AllocError {}
 /// [`EpochDomain`] limbo list and recycled only after their grace period
 /// (invariant I12, PROTOCOL.md).
 pub struct Arena<N: Managed, R: Reclaimer = RefCount> {
-    /// Segment storage. Boxed slices never move, so node addresses are
-    /// stable; the mutex is taken only to grow or enumerate.
-    segments: Mutex<Vec<Box<[N]>>>,
+    /// Segment storage (see [`crate::segment`]). Segments never move, so
+    /// node addresses are stable; the mutex is taken only to grow or
+    /// enumerate.
+    segments: Mutex<Vec<Segment<N>>>,
     /// Head of the lock-free free list (a counted root: its current value
     /// contributes 1 to that node's count).
     free_head: CachePadded<Link<N>>,
@@ -130,8 +132,9 @@ pub struct Arena<N: Managed, R: Reclaimer = RefCount> {
     counters: StatCounters,
     total_nodes: valois_sync::shim::atomic::AtomicUsize,
     max_nodes: Option<usize>,
-    /// Epoch state for the [`crate::reclaim::Epoch`] backend (inert under
-    /// [`RefCount`]: never pinned, limbo never populated).
+    /// Epoch state for the [`crate::reclaim::Epoch`] backend (under
+    /// [`RefCount`] the inert form, without pin slots: never pinned,
+    /// limbo never populated).
     epoch: EpochDomain<N>,
     _backend: std::marker::PhantomData<R>,
 }
@@ -149,7 +152,11 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
             counters: StatCounters::default(),
             total_nodes: valois_sync::shim::atomic::AtomicUsize::new(0),
             max_nodes: config.max_nodes,
-            epoch: EpochDomain::default(),
+            epoch: if R::COUNTED_READS {
+                EpochDomain::inert()
+            } else {
+                EpochDomain::default()
+            },
             _backend: std::marker::PhantomData,
         };
         let initial = match config.max_nodes {
@@ -169,25 +176,8 @@ impl<N: Managed + Default, R: Reclaimer> Arena<N, R> {
     /// splices them onto the global free list as one pre-linked chain —
     /// a single CAS instead of `count` pushes on the shared head.
     fn add_segment(&self, count: usize) {
-        let segment: Box<[N]> = (0..count).map(|_| N::default()).collect();
-        let mut chain_head: *mut N = std::ptr::null_mut();
-        let mut tail: *mut N = std::ptr::null_mut();
-        for node in segment.iter() {
-            let p = node as *const N as *mut N;
-            // SAFETY: the segment is freshly boxed and still private to
-            // this call. Fresh nodes are born detached (count 0, claim
-            // set); install the free structure's incoming-pointer count,
-            // then chain.
-            unsafe {
-                (*p).header().incr_ref();
-                (*p).free_link().write(chain_head);
-            }
-            if tail.is_null() {
-                tail = p;
-            }
-            chain_head = p;
-        }
-        self.splice_free_global(chain_head, tail);
+        let (segment, chain_head, chain_tail) = Segment::with_free_chain(count);
+        self.splice_free_global(chain_head, chain_tail);
         self.total_nodes
             .fetch_add(count, valois_sync::shim::atomic::Ordering::Relaxed);
         self.segments.lock().unwrap().push(segment);
@@ -926,8 +916,8 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     /// guard (the list cursor pins in its constructor and unpins in its
     /// `Drop`). Must be balanced by exactly one [`Arena::pin_exit`].
     pub fn pin_enter(&self) {
-        if !R::COUNTED_READS {
-            self.epoch.pin();
+        if !R::COUNTED_READS && self.epoch.pin() {
+            self.counters.bump(|s| &s.epoch_pins);
         }
     }
 
@@ -1052,12 +1042,12 @@ impl<N: Managed, R: Reclaimer> Arena<N, R> {
     ///
     /// Hot paths batch events thread-locally ([`MemTally`]); counts parked
     /// in un-flushed tallies (e.g. a still-live cursor's) are not yet
-    /// visible here. The `epoch_*` fields are live gauges/counters from
-    /// the arena's [`EpochDomain`] (all zero under the refcount backend).
+    /// visible here. `epoch_pins` is sharded like the protocol counters;
+    /// the other `epoch_*` fields are live gauges/counters from the
+    /// arena's [`EpochDomain`] (all zero under the refcount backend).
     pub fn stats(&self) -> MemStats {
         let mut s = self.counters.snapshot();
-        let (pins, advances, retires, frees) = self.epoch.counters();
-        s.epoch_pins = pins;
+        let (advances, retires, frees) = self.epoch.counters();
         s.epoch_advances = advances;
         s.epoch_retires = retires;
         s.epoch_frees = frees;
@@ -1738,6 +1728,21 @@ mod tests {
             "two-epoch grace (I12) needs at least two advances"
         );
         unsafe { arena.release(q) };
+    }
+
+    #[test]
+    fn only_outermost_epoch_pins_are_counted() {
+        let arena = small_epoch_arena(4);
+        {
+            let _outer = arena.pin();
+            let _nested = arena.pin();
+        }
+        drop(arena.pin());
+        assert_eq!(arena.stats().epoch_pins, 2);
+        // A counted arena never pins: its domain has no slots to pin in.
+        let counted = small_arena(4);
+        drop(counted.pin());
+        assert_eq!(counted.stats().epoch_pins, 0);
     }
 
     #[test]

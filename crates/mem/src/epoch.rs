@@ -115,8 +115,6 @@ pub struct EpochDomain<N: Managed> {
     limbo_head: CachePadded<AtomicUsize>,
     /// Nodes currently in limbo (gauge; exact under quiescence).
     limbo_len: AtomicUsize,
-    /// Outermost pins taken (counter).
-    pins: AtomicU64,
     /// Successful global-epoch advances (counter).
     advances: AtomicU64,
     /// Nodes retired into limbo (counter).
@@ -128,23 +126,33 @@ pub struct EpochDomain<N: Managed> {
 
 impl<N: Managed> Default for EpochDomain<N> {
     fn default() -> Self {
+        Self::with_slots(PIN_SLOTS)
+    }
+}
+
+impl<N: Managed> EpochDomain<N> {
+    fn with_slots(slots: usize) -> Self {
         Self {
             global: CachePadded::new(AtomicUsize::new(2)),
-            slots: (0..PIN_SLOTS)
+            slots: (0..slots)
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
                 .collect(),
             limbo_head: CachePadded::new(AtomicUsize::new(0)),
             limbo_len: AtomicUsize::new(0),
-            pins: AtomicU64::new(0),
             advances: AtomicU64::new(0),
             retires: AtomicU64::new(0),
             frees: AtomicU64::new(0),
             _marker: std::marker::PhantomData,
         }
     }
-}
 
-impl<N: Managed> EpochDomain<N> {
+    /// A domain with no pin slots, for an arena whose reads are counted
+    /// and never pin: it allocates nothing. Its scans see no pins and
+    /// its limbo stays empty; [`EpochDomain::pin`] on it panics.
+    pub(crate) fn inert() -> Self {
+        Self::with_slots(0)
+    }
+
     /// The current thread's slot.
     #[inline]
     fn slot(&self) -> &AtomicUsize {
@@ -162,11 +170,12 @@ impl<N: Managed> EpochDomain<N> {
     /// Pins the current thread: publishes `(global_epoch, 1)` in its slot
     /// (or bumps the count of an existing pin, keeping the *older* epoch —
     /// the conservative merge that makes slot collisions and reentrancy
-    /// safe). Returns the epoch pinned at.
+    /// safe). Returns whether the pin was outermost (the slot held none),
+    /// which is what the arena counts as `MemStats::epoch_pins`.
     ///
     /// Must be balanced by exactly one [`EpochDomain::unpin`]. Pointers
     /// read under a pin must not be used after the matching unpin.
-    pub fn pin(&self) -> usize {
+    pub fn pin(&self) -> bool {
         let slot = self.slot();
         // WAIT-FREE: a failed CAS means another pin/unpin on this shared
         // slot made progress; retries are bounded by slot sharers.
@@ -187,9 +196,8 @@ impl<N: Managed> EpochDomain<N> {
                     .compare_exchange(s, pack(e, 1), Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
                 {
-                    self.pins.fetch_add(1, Ordering::Relaxed);
                     valois_trace::probe!(EpochPin, e, slot_count(s) + 1);
-                    return e;
+                    return true;
                 }
             } else {
                 // Nested or colliding pin: keep the existing (older or
@@ -200,7 +208,7 @@ impl<N: Managed> EpochDomain<N> {
                     .compare_exchange(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    return slot_epoch(s);
+                    return false;
                 }
             }
         }
@@ -400,10 +408,9 @@ impl<N: Managed> EpochDomain<N> {
         g - oldest
     }
 
-    /// Counter snapshot: `(pins, advances, retires, frees)`.
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64) {
+    /// Counter snapshot: `(advances, retires, frees)`.
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (
-            self.pins.load(Ordering::Relaxed),
             self.advances.load(Ordering::Relaxed),
             self.retires.load(Ordering::Relaxed),
             self.frees.load(Ordering::Relaxed),
@@ -453,8 +460,8 @@ mod tests {
     fn pin_blocks_advance_until_unpin() {
         let d: EpochDomain<TestNode> = EpochDomain::default();
         let g0 = d.global_epoch();
-        let e = d.pin();
-        assert_eq!(e, g0);
+        assert!(d.pin(), "first pin is outermost");
+        assert_eq!(d.horizon(), g0);
         // Pinned at the current epoch: one advance is allowed (we are
         // current) ...
         assert_eq!(d.try_advance(), Some(g0 + 1));
@@ -469,10 +476,11 @@ mod tests {
     #[test]
     fn nested_pin_keeps_older_epoch() {
         let d: EpochDomain<TestNode> = EpochDomain::default();
-        let e1 = d.pin();
+        let e1 = d.global_epoch();
+        assert!(d.pin());
         d.try_advance();
-        let e2 = d.pin(); // nested: must keep the older pinned epoch
-        assert_eq!(e2, e1);
+        // Nested: not outermost, and must keep the older pinned epoch.
+        assert!(!d.pin());
         assert_eq!(d.horizon(), e1);
         d.unpin();
         d.unpin();
@@ -483,7 +491,8 @@ mod tests {
     fn horizon_is_min_of_global_and_pins() {
         let d: EpochDomain<TestNode> = EpochDomain::default();
         assert_eq!(d.horizon(), d.global_epoch());
-        let e = d.pin();
+        let e = d.global_epoch();
+        d.pin();
         d.try_advance();
         assert_eq!(d.horizon(), e);
         assert_eq!(d.global_epoch(), e + 1);
@@ -514,7 +523,7 @@ mod tests {
         assert_eq!(d.limbo_depth(), 2, "requeue does not change the gauge");
         d.note_freed(1);
         assert_eq!(d.limbo_depth(), 1);
-        let (_, _, retires, frees) = d.counters();
+        let (_, retires, frees) = d.counters();
         assert_eq!(retires, 2);
         assert_eq!(frees, 1);
     }

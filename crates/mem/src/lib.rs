@@ -17,6 +17,20 @@
 //! [`Arena`] and never returned to the OS while the arena lives, so even the
 //! protocol's benign transient touches of recycled nodes are memory-safe.
 //!
+//! # Segment storage and huge pages
+//!
+//! Each arena segment is one contiguous node array that never moves. A
+//! segment of 2 MiB or more starts on a 2 MiB boundary, and on Linux
+//! (outside Miri and the loom shim) its whole-2-MiB prefix is advised
+//! `MADV_HUGEPAGE` before any node is written, so a pointer chase over a
+//! large arena needs one TLB entry per 2 MiB rather than per 4 KiB. The
+//! host's `/sys/kernel/mm/transparent_hugepage/enabled` mode decides the
+//! outcome: `always` gives huge pages with or without the advice,
+//! `madvise` gives them because of it, and `never` keeps 4 KiB pages.
+//! Smaller segments are laid out as a plain array, and sizes are never
+//! rounded up, so no arena holds more memory than its nodes need. There
+//! is no setting for any of this.
+//!
 //! # The counting invariant
 //!
 //! A node's reference count (`refct`) is the number of:
@@ -110,6 +124,7 @@ pub mod epoch;
 pub(crate) mod magazine;
 pub mod managed;
 pub mod reclaim;
+pub(crate) mod segment;
 pub mod segtable;
 pub mod stats;
 

@@ -55,11 +55,11 @@ valois_sync::counter_set! {
         swing_failures,
         /// Arena segment growth events.
         grows,
-    }
-    external {
         /// Epoch backend: outermost pins taken (one per protected operation).
         /// Zero under the refcount backend (likewise for every field below).
         epoch_pins,
+    }
+    external {
         /// Epoch backend: successful global-epoch advances.
         epoch_advances,
         /// Epoch backend: nodes retired into limbo (link in-degree hit zero).
