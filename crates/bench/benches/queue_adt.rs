@@ -5,7 +5,7 @@
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
-use valois_bench::criterion::{black_box, Criterion};
+use valois_bench::criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use valois_bench::{criterion_group, criterion_main};
 use valois_core::adt::{PriorityQueue, Stack};
 use valois_core::channel::{channel, Sender};
@@ -58,10 +58,17 @@ fn bench_queue_contended(c: &mut Criterion) {
     group.finish();
 }
 
-/// What `valois-server` pays per request for its reply path: build a
-/// fresh channel, hand its `Sender` to a long-lived worker thread (over a
-/// second channel, as a shard's request queue does), receive the one
-/// reply, drop both halves. `create_drop` isolates the construction cost.
+/// Channels the cold arm keeps alive at once: more than a thread's
+/// channel pool holds, so most of them are built and freed.
+const COLD_CHANNELS: usize = 64;
+
+/// What `valois-server` pays per request for its reply path: take a
+/// channel (recycled from this thread's pool after the first), hand its
+/// `Sender` to a long-lived worker thread (over a second channel, as a
+/// shard's request queue does), receive the one reply, drop both halves.
+/// `create_drop` isolates the take-and-recycle cost; the cold group keeps
+/// [`COLD_CHANNELS`] alive at once, so all but a pool's worth pay full
+/// construction and teardown.
 fn bench_channel_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("channel_roundtrip");
     group.bench_function("create_drop", |b| b.iter(channel::<u64>));
@@ -82,6 +89,17 @@ fn bench_channel_roundtrip(c: &mut Criterion) {
         drop(req_tx);
     });
     group.finish();
+
+    let mut cold = c.benchmark_group("channel_create_drop_cold");
+    cold.throughput(Throughput::Elements(COLD_CHANNELS as u64));
+    let mut live = Vec::with_capacity(COLD_CHANNELS);
+    cold.bench_function(BenchmarkId::from_parameter(COLD_CHANNELS), |b| {
+        b.iter(|| {
+            live.extend((0..COLD_CHANNELS).map(|_| channel::<u64>()));
+            live.clear();
+        });
+    });
+    cold.finish();
 }
 
 fn bench_stack_cycle(c: &mut Criterion) {

@@ -10,6 +10,8 @@
 //! it only by not producing, never by corrupting or blocking the
 //! structure).
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 use valois_mem::ArenaConfig;
@@ -17,12 +19,29 @@ use valois_sync::shim::atomic::{AtomicUsize, Ordering};
 
 use crate::queue::{FifoQueue, MIN_INITIAL_CAPACITY};
 
+/// Most recycled channels one thread keeps, of all payload types together.
+const POOL_CAP: usize = 8;
+
+thread_local! {
+    /// This thread's recycled channels, type-erased: each entry is an
+    /// `Arc<Shared<T>>` for some `T`, found again by its `TypeId`.
+    static POOL: RefCell<Vec<Arc<dyn Any + Send + Sync>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Creates an unbounded MPMC channel.
 ///
 /// The queue's node pool starts at the smallest segment a [`FifoQueue`]
 /// allows (8 nodes, not the 1024 of [`ArenaConfig::default`]) and doubles
 /// on demand, so a one-reply channel costs about one reply while a
 /// long-lived channel still grows to its backlog.
+///
+/// Channels are recycled per thread. When the last handle of a channel
+/// drops while its queue is empty and its node pool is still the first
+/// segment, the dropping thread keeps it (at most 8 per thread), and
+/// the next `channel` call of the same payload type on that thread takes
+/// it back instead of building a queue and arena. A recycled channel is
+/// empty and connected, exactly like a fresh one; channels that grew or
+/// still hold values are freed as usual.
 ///
 /// # Example
 ///
@@ -35,11 +54,16 @@ use crate::queue::{FifoQueue, MIN_INITIAL_CAPACITY};
 /// drop(tx);
 /// assert_eq!(rx.try_recv(), Err(valois_core::channel::TryRecvError::Disconnected));
 /// ```
-pub fn channel<T: Send + Sync>() -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        queue: FifoQueue::with_config(ArenaConfig::new().initial_capacity(MIN_INITIAL_CAPACITY)),
-        senders: AtomicUsize::new(1),
-        receivers: AtomicUsize::new(1),
+pub fn channel<T: Send + Sync + 'static>() -> (Sender<T>, Receiver<T>) {
+    let shared = pooled::<T>().unwrap_or_else(|| {
+        Arc::new(Shared {
+            queue: FifoQueue::with_config(
+                ArenaConfig::new().initial_capacity(MIN_INITIAL_CAPACITY),
+            ),
+            senders: AtomicUsize::new(1),
+            receivers: AtomicUsize::new(1),
+            recycle: recycle::<T>,
+        })
     });
     (
         Sender {
@@ -53,6 +77,53 @@ struct Shared<T: Send + Sync> {
     queue: FifoQueue<T>,
     senders: AtomicUsize,
     receivers: AtomicUsize,
+    /// [`recycle`] for this `T`. Held here because only [`channel`] knows
+    /// `T: 'static`, which the type-erased pool needs, while the handles'
+    /// `Drop` impls cannot ask for more bounds than their types have.
+    recycle: fn(&mut Arc<Shared<T>>),
+}
+
+/// Takes a recycled channel of payload `T` from this thread's pool.
+fn pooled<T: Send + Sync + 'static>() -> Option<Arc<Shared<T>>> {
+    POOL.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let i = pool.iter().rposition(|c| c.is::<Shared<T>>())?;
+        pool.swap_remove(i).downcast().ok()
+    })
+    .ok()
+    .flatten()
+}
+
+/// Called by each handle as it drops: if it was the channel's last handle,
+/// and the channel is empty and still on its first segment, resets it to
+/// the state [`channel`] hands out and parks it in this thread's pool.
+fn recycle<T: Send + Sync + 'static>(shared: &mut Arc<Shared<T>>) {
+    // Fails while another handle lives (or drops concurrently: then
+    // neither dropper recycles and the channel is freed as usual).
+    let Some(s) = Arc::get_mut(shared) else {
+        return;
+    };
+    if s.queue.node_capacity() > MIN_INITIAL_CAPACITY || !s.queue.is_empty() {
+        return;
+    }
+    // Nodes the handles freed sit in their threads' magazines; without
+    // the flush they would pile up in one magazine across reuses and a
+    // later channel would have to grow.
+    s.queue.flush_thread_caches();
+    // ORDER: Relaxed — exclusive access; the next user receives the
+    // channel through this thread's pool (program order) or, for a handle
+    // sent on, through whatever hands it to another thread.
+    s.senders.store(1, Ordering::Relaxed);
+    s.receivers.store(1, Ordering::Relaxed);
+    let parked: Arc<dyn Any + Send + Sync> = shared.clone();
+    // A full pool, or a thread already tearing its pool down, drops
+    // `parked`; the handle's own `Arc` then frees the channel.
+    let _ = POOL.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if pool.len() < POOL_CAP {
+            pool.push(parked);
+        }
+    });
 }
 
 /// Error returned by [`Sender::send`] when every receiver is gone;
@@ -129,6 +200,7 @@ impl<T: Send + Sync> Clone for Sender<T> {
 impl<T: Send + Sync> Drop for Sender<T> {
     fn drop(&mut self) {
         self.shared.senders.fetch_sub(1, Ordering::AcqRel);
+        (self.shared.recycle)(&mut self.shared);
     }
 }
 
@@ -194,6 +266,7 @@ impl<T: Send + Sync> Clone for Receiver<T> {
 impl<T: Send + Sync> Drop for Receiver<T> {
     fn drop(&mut self) {
         self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
+        (self.shared.recycle)(&mut self.shared);
     }
 }
 
@@ -294,20 +367,149 @@ mod tests {
     #[test]
     fn one_reply_channel_fits_its_first_segment() {
         // The service's reply pattern: the receiver's thread builds the
-        // channel (allocating the queue's dummy), another thread sends
-        // once. Neither side may grow the 8-node pool.
-        let (tx, rx) = channel::<u64>();
+        // channel (allocating the queue's dummy), a long-lived worker
+        // sends once and drops its sender, the receiver's thread drops the
+        // receiver. Whichever thread drops last recycles the channel, and
+        // no cycle may grow the 8-node pool of a fresh or recycled one.
+        let (req_tx, req_rx) = channel::<Sender<u64>>();
         std::thread::scope(|s| {
-            s.spawn(move || tx.send(7).unwrap());
+            s.spawn(move || {
+                for (i, reply) in (0u64..).zip(req_rx.iter()) {
+                    reply.send(i).unwrap();
+                }
+            });
+            for i in 0..1_000u64 {
+                let (tx, rx) = channel::<u64>();
+                req_tx.send(tx).unwrap();
+                assert_eq!(rx.recv(), Some(i));
+                let queue = &rx.shared.queue;
+                assert_eq!(queue.node_capacity(), 8, "cycle {i}");
+                assert_eq!(
+                    queue.mem_stats().grows,
+                    1,
+                    "cycle {i}: only the first segment"
+                );
+            }
+            drop(req_tx);
         });
-        assert_eq!(rx.recv(), Some(7));
-        let queue = &rx.shared.queue;
-        assert!(
-            queue.node_capacity() <= 8,
-            "{} nodes",
-            queue.node_capacity()
+    }
+
+    /// Channels of payload `T` parked in this thread's pool.
+    fn pooled_count<T: Send + Sync + 'static>() -> usize {
+        POOL.with(|pool| pool.borrow().iter().filter(|c| c.is::<Shared<T>>()).count())
+    }
+
+    #[test]
+    fn recycled_channel_is_empty_and_connected() {
+        #[derive(Debug)]
+        struct Reply(u32);
+        let (tx, rx) = channel::<Reply>();
+        let first = Arc::as_ptr(&rx.shared);
+        tx.send(Reply(1)).unwrap();
+        assert_eq!(rx.try_recv().map(|r| r.0), Ok(1));
+        drop(tx);
+        assert_eq!(pooled_count::<Reply>(), 0, "a live receiver keeps it");
+        drop(rx);
+        assert_eq!(pooled_count::<Reply>(), 1);
+
+        let (tx, rx) = channel::<Reply>();
+        assert_eq!(Arc::as_ptr(&rx.shared), first, "the pooled channel");
+        assert_eq!(pooled_count::<Reply>(), 0);
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
+        assert_eq!(tx.queued(), 0);
+        tx.send(Reply(2)).unwrap();
+        assert_eq!(rx.recv().map(|r| r.0), Some(2));
+        // Receiver gone: send still fails, as on a fresh channel.
+        drop(rx);
+        assert_eq!(tx.send(Reply(3)).unwrap_err().0 .0, 3);
+        drop(tx);
+
+        // Sender gone: the receiver sees the disconnect.
+        let (tx, rx) = channel::<Reply>();
+        assert_eq!(Arc::as_ptr(&rx.shared), first);
+        drop(tx);
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn channel_left_with_values_is_not_recycled() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Debug)]
+        struct Probe;
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let (tx, rx) = channel::<Probe>();
+        tx.send(Probe).unwrap();
+        drop(tx);
+        drop(rx);
+        assert_eq!(pooled_count::<Probe>(), 0);
+        assert_eq!(DROPS.load(Ordering::Relaxed), 1, "the queued value dropped");
+    }
+
+    #[test]
+    fn grown_channel_is_not_recycled() {
+        #[derive(Debug)]
+        struct Backlog;
+        let (tx, rx) = channel::<Backlog>();
+        for _ in 0..100 {
+            tx.send(Backlog).unwrap();
+        }
+        assert!(rx.shared.queue.node_capacity() > 8);
+        while rx.try_recv().is_ok() {}
+        drop(tx);
+        drop(rx);
+        assert_eq!(
+            pooled_count::<Backlog>(),
+            0,
+            "empty, but past its first segment"
         );
-        assert_eq!(queue.mem_stats().grows, 1, "only the first segment");
+    }
+
+    #[test]
+    fn pool_keeps_at_most_its_cap() {
+        struct Reply;
+        let held: Vec<_> = (0..2 * POOL_CAP).map(|_| channel::<Reply>()).collect();
+        drop(held);
+        assert_eq!(pooled_count::<Reply>(), POOL_CAP);
+    }
+
+    #[test]
+    fn pools_of_different_payloads_never_cross() {
+        struct A;
+        struct B;
+        let (tx, rx) = channel::<A>();
+        let a = Arc::as_ptr(&rx.shared) as *const ();
+        drop((tx, rx));
+        assert_eq!(pooled_count::<A>(), 1);
+        let (_tx, rx) = channel::<B>();
+        assert_ne!(Arc::as_ptr(&rx.shared) as *const (), a);
+        assert_eq!(pooled_count::<A>(), 1, "a B channel never takes an A");
+        assert_eq!(pooled_count::<B>(), 0);
+    }
+
+    /// Miri-sized: the type-erased pool round trip (erase into
+    /// `Arc<dyn Any>`, downcast back) on one thread, then a second thread
+    /// that exits with a channel in its pool, whose entry the thread-local
+    /// destructor must free (Miri reports the leak otherwise).
+    #[test]
+    fn smoke_channel_pool_round_trip() {
+        for i in 0..3u32 {
+            let (tx, rx) = channel::<u32>();
+            tx.send(i).unwrap();
+            assert_eq!(rx.try_recv(), Ok(i));
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (tx, rx) = channel::<String>();
+                tx.send("reply".into()).unwrap();
+                assert_eq!(rx.recv().as_deref(), Some("reply"));
+                drop((tx, rx));
+                assert_eq!(pooled_count::<String>(), 1);
+            });
+        });
     }
 
     #[test]

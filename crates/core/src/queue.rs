@@ -202,9 +202,15 @@ impl<T: Send + Sync> FifoQueue<T> {
     }
 
     /// Total nodes owned by the backing arena (free + live).
-    #[cfg(test)]
     pub(crate) fn node_capacity(&self) -> usize {
         self.arena.capacity()
+    }
+
+    /// Moves every free node parked in a thread magazine back to the
+    /// arena's global free list. Exclusive access means no operation holds
+    /// a magazine slot, so every slot is emptied.
+    pub(crate) fn flush_thread_caches(&mut self) {
+        self.arena.flush_thread_caches();
     }
 }
 

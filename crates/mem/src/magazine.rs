@@ -49,6 +49,7 @@ pub(crate) const MAG_SLOTS: usize = 1;
 
 /// Nodes a magazine may hold before `push_free` flushes the excess back
 /// to the global list (it flushes down to half, keeping a working set).
+/// `Arena::pool_bound` lowers it to a quarter of a pool under 256 nodes.
 #[cfg(not(loom))]
 pub(crate) const MAGAZINE_CAP: usize = 64;
 /// Tiny capacity under the model checker so a handful of operations
@@ -57,9 +58,9 @@ pub(crate) const MAGAZINE_CAP: usize = 64;
 pub(crate) const MAGAZINE_CAP: usize = 1;
 
 /// Nodes `Alloc` pops from the global list into an empty magazine in one
-/// refill (the first goes to the caller). `Arena::refill_and_pop` bounds
-/// the batch by a quarter of the pool, so a small arena keeps nodes on
-/// the global list and a second thread's first alloc does not grow it.
+/// refill (the first goes to the caller). `Arena::pool_bound` lowers it
+/// to a quarter of a pool under 128 nodes, so a small arena keeps nodes
+/// on the global list and a second thread's first alloc does not grow it.
 #[cfg(not(loom))]
 pub(crate) const REFILL_BATCH: usize = 32;
 /// Minimal refill under the model checker.
@@ -88,6 +89,14 @@ impl<N: Managed> Default for MagazineSlot<N> {
 }
 
 impl<N: Managed> MagazineSlot<N> {
+    /// Whether the slot holds no nodes, read without the lock: a hint
+    /// that lets a flush skip the lock round trip on empty slots.
+    pub(crate) fn looks_empty(&self) -> bool {
+        // ORDER: Relaxed — a hint only; whoever acts on a nonzero length
+        // takes the lock, whose Acquire orders the chain reads.
+        self.len.load(Ordering::Relaxed) == 0
+    }
+
     /// Attempts to acquire the slot. Never waits: contention means the
     /// caller takes the global path instead.
     pub(crate) fn try_lock(&self) -> Option<MagazineGuard<'_, N>> {
